@@ -1,17 +1,142 @@
 #include "common/sim.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/trace.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define DLX_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DLX_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef DLX_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace datalinks::sim {
 
 namespace {
-// The simulation discovery hook: set for the duration of a sim task's
-// body, null on every real thread.  g_task is the SimExecutor::Task* of
-// the current task (opaque here; cast inside member functions).
+// The simulation discovery hook: installed by the fiber switch for the
+// running sim task, null on every real thread.  g_task is the
+// SimExecutor::Task* of the current task (opaque here; cast inside member
+// functions).
 thread_local SimExecutor* g_exec = nullptr;
 thread_local void* g_task = nullptr;
+
+// Usable stack of every sim task.  The mapping is committed lazily, page by
+// page, so only what a task touches costs memory; a thread-sized reserve
+// keeps the engine's deepest paths (and their larger TSan frames) clear of
+// the guard page.
+constexpr size_t kFiberStackBytes = 1 << 20;
+
+size_t PageBytes() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+[[noreturn]] void FiberAbort(const char* what) {
+  std::perror(what);
+  std::abort();
+}
+
+// A task's mapping: one PROT_NONE guard page below the usable stack, so an
+// overflow faults at once instead of corrupting a neighbouring mapping.
+size_t MappingBytes() { return PageBytes() + kFiberStackBytes; }
+
+// Most stacks a thread keeps for reuse once their tasks have finished.
+constexpr size_t kCachedStacks = 64;
+
+// Stacks of finished tasks, kept per OS thread for the next spawn.  A fresh
+// mapping costs three syscalls plus a zero-filled page fault for every page
+// the task touches, and a soak spawns ~41 tasks per scenario.
+class StackCache {
+ public:
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (void* m : free_) munmap(m, MappingBytes());
+  }
+
+  void* Take() {
+    if (!free_.empty()) {
+      void* m = free_.back();
+      free_.pop_back();
+      return m;
+    }
+    void* m = mmap(nullptr, MappingBytes(), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (m == MAP_FAILED) FiberAbort("SimExecutor: fiber stack mmap");
+    if (mprotect(m, PageBytes(), PROT_NONE) != 0) {
+      FiberAbort("SimExecutor: fiber guard page mprotect");
+    }
+    return m;
+  }
+
+  void Give(void* m) {
+    if (free_.size() < kCachedStacks) {
+      free_.push_back(m);
+    } else {
+      munmap(m, MappingBytes());
+    }
+  }
+
+ private:
+  std::vector<void*> free_;
+};
+
+thread_local StackCache g_stacks;
 }  // namespace
+
+// One execution context.  A task fiber owns a guarded stack mapping (see
+// StackCache); Run()'s caller gets a stackless Fiber that only records
+// where to switch back to.  The thread-local state fields hold this
+// context's values while it is switched out.
+struct SimExecutor::Fiber {
+  Fiber() = default;
+  explicit Fiber(Task* t);
+  ~Fiber();
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  ucontext_t uc{};
+  void* mapping = nullptr;  // guard page + stack; null for Run()'s caller
+  void* tsan = nullptr;     // TSan's fiber handle (TSan builds only)
+  SimExecutor* exec = nullptr;
+  void* task = nullptr;
+  trace::TraceContext* trace_ctx = nullptr;
+};
+
+SimExecutor::Fiber::Fiber(Task* t) : exec(t->owner), task(t) {
+  mapping = g_stacks.Take();
+  if (getcontext(&uc) != 0) FiberAbort("SimExecutor: getcontext");
+  uc.uc_stack.ss_sp = static_cast<char*>(mapping) + PageBytes();
+  uc.uc_stack.ss_size = kFiberStackBytes;
+  uc.uc_link = nullptr;  // TaskMain never returns
+  // makecontext passes int-sized arguments only: split the Task pointer.
+  const auto bits = reinterpret_cast<uintptr_t>(t);
+  makecontext(&uc, reinterpret_cast<void (*)()>(&SimExecutor::FiberEntry), 2,
+              static_cast<unsigned>(bits >> 32), static_cast<unsigned>(bits));
+#ifdef DLX_TSAN_FIBERS
+  tsan = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(tsan, t->name.c_str());
+#endif
+}
+
+SimExecutor::Fiber::~Fiber() {
+  if (mapping == nullptr) return;  // Run()'s caller: nothing owned
+  g_stacks.Give(mapping);
+#ifdef DLX_TSAN_FIBERS
+  __tsan_destroy_fiber(tsan);
+#endif
+}
 
 SimExecutor* CurrentSimExecutor() noexcept { return g_exec; }
 
@@ -72,11 +197,7 @@ void VirtualClock::SleepForMicros(int64_t micros) {
 SimExecutor::SimExecutor(uint64_t seed)
     : rng_(seed * 0x9e3779b97f4a7c15ULL + 0x5eedULL), vclock_(this) {}
 
-SimExecutor::~SimExecutor() {
-  for (auto& t : tasks_) {
-    if (t->thread.joinable()) t->thread.join();
-  }
-}
+SimExecutor::~SimExecutor() = default;
 
 uint64_t SimExecutor::SpawnLocked(std::string name, std::function<void()> fn,
                                   std::unique_lock<std::mutex>& lk) {
@@ -88,10 +209,10 @@ uint64_t SimExecutor::SpawnLocked(std::string name, std::function<void()> fn,
   t->owner = this;
   t->fn = std::move(fn);
   t->state = State::kRunnable;
+  // The fiber first runs when the scheduler picks it; creating it is not
+  // a scheduling point.
+  t->fiber = std::make_unique<Fiber>(t);
   tasks_.push_back(std::move(task));
-  // The thread parks immediately in TaskMain until the scheduler grants
-  // it the run permit; creating it is not a scheduling point.
-  t->thread = std::thread([this, t] { TaskMain(t); });
   return t->id;
 }
 
@@ -101,18 +222,15 @@ TaskHandle SimExecutor::Spawn(std::string name, std::function<void()> fn) {
   return TaskHandle(this, id);
 }
 
+void SimExecutor::FiberEntry(unsigned hi, unsigned lo) {
+  Task* t = reinterpret_cast<Task*>((static_cast<uintptr_t>(hi) << 32) | lo);
+  t->owner->TaskMain(t);
+}
+
 void SimExecutor::TaskMain(Task* t) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    t->wake.wait(lk, [&] { return t->run_granted; });
-    t->run_granted = false;
-  }
-  g_exec = this;
-  g_task = t;
+  OnResume(t->fiber.get());
   t->fn();
   t->fn = nullptr;
-  g_exec = nullptr;
-  g_task = nullptr;
   std::unique_lock<std::mutex> lk(mu_);
   t->state = State::kDone;
   for (auto& o : tasks_) {
@@ -123,10 +241,48 @@ void SimExecutor::TaskMain(Task* t) {
     }
   }
   done_cv_.notify_all();  // non-sim joiners poll per-task completion
-  ScheduleNextLocked(lk);
+  // A fiber cannot free the stack it runs on: the next context does.
+  finished_ = t;
+  Task* next = ScheduleNextLocked(lk);
+  lk.unlock();
+  SwitchTo(t->fiber.get(), next != nullptr ? next->fiber.get() : caller_.get());
+  std::abort();  // a finished task is never switched back to
 }
 
-void SimExecutor::ScheduleNextLocked(std::unique_lock<std::mutex>& lk) {
+void SimExecutor::SwitchTo(Fiber* from, Fiber* to) {
+  from->exec = g_exec;
+  from->task = g_task;
+  from->trace_ctx = trace::CurrentTraceContext();
+#ifdef DLX_TSAN_FIBERS
+  __tsan_switch_to_fiber(to->tsan, 0);
+#endif
+  if (swapcontext(&from->uc, &to->uc) != 0) {
+    FiberAbort("SimExecutor: swapcontext");
+  }
+  OnResume(from);
+}
+
+void SimExecutor::OnResume(Fiber* self) {
+  g_exec = self->exec;
+  g_task = self->task;
+  trace::SetCurrentTraceContext(self->trace_ctx);
+  if (finished_ != nullptr) {
+    finished_->fiber.reset();
+    finished_ = nullptr;
+  }
+}
+
+void SimExecutor::ParkLocked(Task* self, std::unique_lock<std::mutex>& lk) {
+  // Never null: `self` is not done, so the run is not over either.
+  Task* next = ScheduleNextLocked(lk);
+  if (next == self) return;
+  lk.unlock();
+  SwitchTo(self->fiber.get(), next->fiber.get());
+  lk.lock();
+}
+
+SimExecutor::Task* SimExecutor::ScheduleNextLocked(
+    std::unique_lock<std::mutex>& lk) {
   (void)lk;
   for (;;) {
     std::vector<Task*> runnable;
@@ -158,17 +314,13 @@ void SimExecutor::ScheduleNextLocked(std::unique_lock<std::mutex>& lk) {
       decisions_.push_back(static_cast<uint32_t>(idx));
       Task* next = runnable[idx];
       next->state = State::kRunning;
-      next->run_granted = true;
-      next->wake.notify_one();
-      return;
+      return next;
     }
     if (done == tasks_.size()) {
       if (replay_active_ && replay_pos_ < replay_.size()) {
         diverged_.store(true, std::memory_order_release);  // leftover decisions
       }
-      all_done_ = true;
-      done_cv_.notify_all();
-      return;
+      return nullptr;
     }
     // Nobody is runnable: time advances when idle.  Jump the virtual
     // clock to the nearest deadline and wake everything due.
@@ -227,9 +379,7 @@ void SimExecutor::BlockCurrent(BlockKind kind, int64_t deadline,
   t->key = key;
   t->join_target = join_target;
   t->notified = false;
-  ScheduleNextLocked(lk);
-  t->wake.wait(lk, [&] { return t->run_granted; });
-  t->run_granted = false;
+  ParkLocked(t, lk);
   t->kind = BlockKind::kNone;
   t->deadline = -1;
   t->key = nullptr;
@@ -239,9 +389,7 @@ void SimExecutor::Yield() {
   Task* t = static_cast<Task*>(g_task);
   std::unique_lock<std::mutex> lk(mu_);
   t->state = State::kRunnable;
-  ScheduleNextLocked(lk);
-  t->wake.wait(lk, [&] { return t->run_granted; });
-  t->run_granted = false;
+  ParkLocked(t, lk);
 }
 
 void SimExecutor::SleepCurrent(int64_t micros) {
@@ -279,8 +427,8 @@ void SimExecutor::JoinTask(uint64_t id) {
       std::unique_lock<std::mutex> lk(mu_);
       if (tasks_[id]->state == State::kDone) return;
     }
-    // No race: we hold the run permit between the check and the park, so
-    // the target cannot finish in between.
+    // No race: no other task runs between the check and the park, so the
+    // target cannot finish in between.
     BlockCurrent(BlockKind::kJoin, -1, nullptr, id);
     return;
   }
@@ -300,14 +448,15 @@ void SimExecutor::SetReplay(std::vector<uint32_t> decisions) {
 
 void SimExecutor::Run(std::function<void()> root) {
   std::unique_lock<std::mutex> lk(mu_);
-  started_ = true;
   SpawnLocked("root", std::move(root), lk);
-  ScheduleNextLocked(lk);
-  done_cv_.wait(lk, [&] { return all_done_; });
+  Task* first = ScheduleNextLocked(lk);
   lk.unlock();
-  for (auto& t : tasks_) {
-    if (t->thread.joinable()) t->thread.join();
-  }
+  caller_ = std::make_unique<Fiber>();
+#ifdef DLX_TSAN_FIBERS
+  caller_->tsan = __tsan_get_current_fiber();
+#endif
+  // Returns once the last task has finished and switched back here.
+  SwitchTo(caller_.get(), first->fiber.get());
 }
 
 // ---------------------------------------------------------------------------

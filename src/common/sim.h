@@ -11,6 +11,13 @@
 // (backup barriers, prepare timeouts, archive-retry backoff) into
 // microseconds of wall clock.
 //
+// Tasks are fibers (user-space contexts) on the OS thread that calls
+// SimExecutor::Run(): a scheduling point switches straight from the parking
+// task to the picked one, so a pick costs a context switch, not a cross-CPU
+// thread wakeup.  Thread-local state the codebase relies on (the current
+// sim task, the ambient trace context) is saved and reinstalled per task
+// at every switch.
+//
 // How components opt in:
 //  - Code that SPAWNS concurrency takes an injected `Executor*`
 //    (DlfmOptions::executor, HostOptions::executor, the fuzz harness).
@@ -25,11 +32,11 @@
 //
 // Soundness rule enforced by construction: a sim task must never block in
 // the KERNEL on a lock whose holder has yielded to the scheduler — the
-// holder could never be scheduled again.  Hence every mutex that is ever
-// held across a yield point (a WAL force, a page-pool I/O wait, an RPC
-// call, a fail-point delay) must be a sim:: type; leaf mutexes that never
-// cover a yield can never even be contended under the one-at-a-time
-// scheduler and may stay std::mutex.
+// holder shares the blocked OS thread and could never run again.  Hence
+// every mutex that is ever held across a yield point (a WAL force, a
+// page-pool I/O wait, an RPC call, a fail-point delay) must be a sim::
+// type; leaf mutexes that never cover a yield can never even be contended
+// under the one-at-a-time scheduler and may stay std::mutex.
 #pragma once
 
 #include <atomic>
@@ -147,7 +154,7 @@ class SimExecutor : public Executor {
   void Run(std::function<void()> root);
 
   // Executor interface.  Spawn from a running sim task is NOT a
-  // scheduling point (the spawner keeps the permit).
+  // scheduling point (the spawner keeps running).
   TaskHandle Spawn(std::string name, std::function<void()> fn) override;
   Clock* clock() override { return &vclock_; }
 
@@ -192,31 +199,43 @@ class SimExecutor : public Executor {
   enum class State { kRunnable, kRunning, kBlocked, kDone };
   enum class BlockKind { kNone, kSleep, kCond, kJoin };
 
+  // A user-space execution context plus the thread-local state it owns
+  // (defined in sim.cc).
+  struct Fiber;
+
   struct Task {
     uint64_t id = 0;
     std::string name;
     SimExecutor* owner = nullptr;
     std::function<void()> fn;
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;  // freed once the task has finished
     State state = State::kRunnable;
     BlockKind kind = BlockKind::kNone;
     int64_t deadline = -1;  // virtual wake time; -1 = none
     const void* key = nullptr;
     uint64_t join_target = 0;
     bool notified = false;   // cond wake cause: notify vs deadline
-    bool run_granted = false;
-    std::condition_variable wake;
   };
 
   uint64_t SpawnLocked(std::string name, std::function<void()> fn,
                        std::unique_lock<std::mutex>& lk);
-  void TaskMain(Task* t);
-  /// Picks and wakes the next task; advances virtual time when nothing is
-  /// runnable; aborts with a task dump on simulation deadlock; signals
-  /// completion when every task is done.  mu_ held.
-  void ScheduleNextLocked(std::unique_lock<std::mutex>& lk);
+  static void FiberEntry(unsigned hi, unsigned lo);
+  [[noreturn]] void TaskMain(Task* t);
+  /// Picks the next task and marks it running; advances virtual time when
+  /// nothing is runnable; aborts with a task dump on simulation deadlock.
+  /// Returns nullptr once every task is done.  mu_ held.
+  Task* ScheduleNextLocked(std::unique_lock<std::mutex>& lk);
+  /// Schedules the next task and, unless it is `self`, switches to it;
+  /// returns once `self` is picked again.  mu_ held on entry and exit.
+  void ParkLocked(Task* self, std::unique_lock<std::mutex>& lk);
+  /// Saves the caller's thread-local state into `from`, switches to `to`,
+  /// and returns when `from` is switched back to.  mu_ not held.
+  void SwitchTo(Fiber* from, Fiber* to);
+  /// Reinstalls `self`'s thread-local state and releases the fiber of the
+  /// task that finished just before this switch.  Runs after every switch.
+  void OnResume(Fiber* self);
   /// Parks the current task with the given block reason and returns once
-  /// the permit is granted back.
+  /// it is scheduled again.
   void BlockCurrent(BlockKind kind, int64_t deadline, const void* key,
                     uint64_t join_target);
   [[noreturn]] void DeadlockAbortLocked();
@@ -233,9 +252,9 @@ class SimExecutor : public Executor {
   bool replay_active_ = false;
   std::atomic<bool> diverged_{false};
 
-  bool started_ = false;
-  bool all_done_ = false;
-  std::condition_variable done_cv_;  // Run() completion + non-sim joins
+  std::unique_ptr<Fiber> caller_;  // Run()'s own context while tasks run
+  Task* finished_ = nullptr;       // task whose fiber awaits freeing
+  std::condition_variable done_cv_;  // non-sim joins
 };
 
 // ---------------------------------------------------------------------------

@@ -151,6 +151,8 @@ TraceContextScope::~TraceContextScope() { g_trace_ctx = prev_; }
 
 TraceContext* CurrentTraceContext() { return g_trace_ctx; }
 
+void SetCurrentTraceContext(TraceContext* ctx) { g_trace_ctx = ctx; }
+
 namespace {
 // Usable context or nullptr: traced, with a ring and a clock to read.
 inline TraceContext* ActiveContext() {

@@ -13,9 +13,9 @@
 // trace id, txn, ring, clock and component, and everything beneath it — the
 // lock manager, the WAL force path, the buffer pool — attributes child spans
 // via SpanScope / Point / Interval without any signature changes.  Under the
-// deterministic simulator this is safe because SimExecutor runs every task on
-// its own real thread (scheduled one at a time), so thread-local state stays
-// per-task.
+// deterministic simulator every task is a fiber on one OS thread; SimExecutor
+// saves and reinstalls each task's context at every switch (via
+// SetCurrentTraceContext), so the ambient context stays per-task.
 //
 // The ring is deliberately tiny and lossy: a fixed-capacity buffer that drops
 // the oldest event on overflow, so tracing can stay on in production paths.
@@ -147,6 +147,11 @@ class TraceContextScope {
 
 /// Current thread's ambient context, or nullptr if none installed.
 TraceContext* CurrentTraceContext();
+
+/// Overwrites the current thread's ambient context pointer.  Only for
+/// executors that run several tasks on one OS thread: they save a task's
+/// context when switching it out and reinstall it when switching it back in.
+void SetCurrentTraceContext(TraceContext* ctx);
 
 /// NowMicros from the ambient clock, or 0 when the thread is untraced.  Lets
 /// engine code bracket a wait without touching any clock on the fast path.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/sim.h"
+#include "common/trace.h"
 
 namespace datalinks::sim {
 namespace {
@@ -219,9 +220,64 @@ TEST(SimExecutor, DecisionsRecordEveryPickIncludingForcedOnes) {
   EXPECT_FALSE(exec.decisions().empty());
 }
 
+// Tasks are fibers on one OS thread, so thread-local state must follow the
+// task, not the thread: two tasks each install their own ambient trace
+// context and park and yield across each other, and every resume must see
+// the task's own context again.  The Run() caller gets its own state back.
+TEST(SimExecutor, ThreadLocalStateFollowsTheTask) {
+  SimExecutor exec(17);
+  Mutex mu;
+  CondVar cv;
+  int turn = 0;
+  int resumes = 0;
+  auto worker = [&](int me, trace::TraceId id) {
+    trace::TraceContextScope scope(id, me, nullptr, exec.clock(),
+                                   me == 0 ? "a" : "b");
+    trace::TraceContext* const mine = trace::CurrentTraceContext();
+    auto check = [&] {
+      ++resumes;
+      EXPECT_EQ(trace::CurrentTraceContext(), mine) << "task " << me;
+      EXPECT_EQ(mine->trace, id);
+      EXPECT_EQ(CurrentSimExecutor(), &exec);
+    };
+    for (int i = 0; i < 10; ++i) {
+      {
+        // Strict alternation: each task parks until the other hands over.
+        std::unique_lock<Mutex> lk(mu);
+        cv.wait(lk, [&] {
+          check();
+          return turn % 2 == me;
+        });
+        ++turn;
+        cv.notify_all();
+      }
+      exec.Yield();
+      check();
+      exec.clock()->SleepForMicros(1 + me);
+      check();
+    }
+  };
+  trace::TraceContextScope caller_scope(7, 0, nullptr, exec.clock(),
+                                        "caller");
+  trace::TraceContext* const caller_ctx = trace::CurrentTraceContext();
+  exec.Run([&] {
+    // A task starts with no ambient context of its own.
+    EXPECT_EQ(trace::CurrentTraceContext(), nullptr);
+    auto a = exec.Spawn("a", [&] { worker(0, 101); });
+    auto b = exec.Spawn("b", [&] { worker(1, 202); });
+    a.join();
+    b.join();
+    EXPECT_EQ(trace::CurrentTraceContext(), nullptr);
+  });
+  EXPECT_EQ(turn, 20);
+  EXPECT_GE(resumes, 60);
+  EXPECT_EQ(CurrentSimExecutor(), nullptr);
+  EXPECT_EQ(trace::CurrentTraceContext(), caller_ctx);
+}
+
 // Stress arm (runs under TSan in CI): many tasks hammering every primitive
-// while the scheduler hops between OS threads.  Determinism is asserted by
-// double-running and byte-comparing the logs.
+// while the scheduler switches between their fibers.  Determinism is
+// asserted by double-running and byte-comparing the logs.
 std::string StressRun(uint64_t seed) {
   SimExecutor exec(seed);
   std::ostringstream log;
