@@ -81,7 +81,6 @@ inline const char* kDlfmDeleteGroupRound = Register("dlfm.dg.round");
 // "sqldb.*" point armed on a DLFM's injector fires inside that DLFM's local
 // database; armed on the host injector it fires inside the host database.
 inline const char* kSqldbWalForce = Register("sqldb.wal.force");
-inline const char* kSqldbWalShardForce = Register("sqldb.wal.shard_force");
 inline const char* kSqldbWalTornTail = Register("sqldb.wal.torn_tail");
 inline const char* kSqldbCheckpointWrite = Register("sqldb.checkpoint.write");
 inline const char* kSqldbCheckpointAuto = Register("sqldb.checkpoint.auto");

@@ -781,10 +781,8 @@ Transaction* Database::Begin(Isolation isolation) {
   txn->id_ = next_txn_id_.fetch_add(1);
   txn->isolation_ = isolation;
   Transaction* raw = txn.get();
-  Lsn begin_lsn = kInvalidLsn;
   (void)wal_->Append(LogRecord{0, raw->id_, LogRecordType::kBegin, 0, 0, {}, {}},
-                     /*exempt=*/true, &begin_lsn);
-  wal_->OnBegin(raw->id_, begin_lsn);
+                     /*exempt=*/true);
   {
     std::lock_guard<std::mutex> lk(txn_mu_);
     txns_[raw->id_] = std::move(txn);

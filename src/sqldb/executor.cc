@@ -659,14 +659,16 @@ Result<int64_t> Database::ExecuteUpdate(Transaction* txn, const BoundStatement& 
         return Status::InvalidArgument("key too long for index " + ix->def.name);
       }
     }
-    // Erase old index entries, swap the row under its latch (the heap logs
-    // the update — with the page ids it lands on — from inside the frame
-    // critical section), insert new entries.  An index scan in the window
+    // Erase the changed keys' old entries, swap the row under its latch
+    // (the heap logs the update — with the page ids it lands on — from
+    // inside the frame critical section), insert their new entries.  An
+    // index whose key is unchanged is never touched, so a lookup by that
+    // key always finds the row; a scan of a changed index in the window
     // sees either a stale entry with the old (still consistent) row or a
     // miss — both already permitted.
-    for (auto& ix : t->indexes) {
+    for (auto& [ix, change] : key_changes) {
       std::unique_lock<sim::SharedMutex> tl(ix->tree_latch);
-      ix->tree.Erase(ExtractKey(*ix, fresh), c.rid);
+      ix->tree.Erase(change.first, c.rid);
     }
     Status st;
     {
@@ -679,15 +681,15 @@ Result<int64_t> Database::ExecuteUpdate(Transaction* txn, const BoundStatement& 
     if (!st.ok()) {
       // The log append failed (capacity): nothing was applied; restore the
       // index entries erased above and surface the error.
-      for (auto& ix : t->indexes) {
+      for (auto& [ix, change] : key_changes) {
         std::unique_lock<sim::SharedMutex> tl(ix->tree_latch);
-        ix->tree.Insert(ExtractKey(*ix, fresh), c.rid);
+        ix->tree.Insert(change.first, c.rid);
       }
       return st;
     }
-    for (auto& ix : t->indexes) {
+    for (auto& [ix, change] : key_changes) {
       std::unique_lock<sim::SharedMutex> tl(ix->tree_latch);
-      ix->tree.Insert(ExtractKey(*ix, new_row), c.rid);
+      ix->tree.Insert(change.second, c.rid);
     }
     txn->undo_.push_back(
         Transaction::UndoRecord{LogRecordType::kUpdate, stmt.table, c.rid, fresh});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <thread>
 
 #include "common/trace.h"
@@ -266,15 +265,7 @@ WriteAheadLog::WriteAheadLog(std::shared_ptr<DurableStore> durable, size_t capac
   const DurableStore::CheckpointAnchor anchor = durable_->GetCheckpoint();
   next_lsn_ = std::max<Lsn>(durable_->max_forced_lsn(), anchor.lsn) + 1;
   if (anchor.valid) redo_floor_ = anchor.redo_floor;
-  durable_upto_ = next_lsn_ - 1;  // all tails are empty; nothing volatile yet
-}
-
-size_t WriteAheadLog::ShardFor(const LogRecord& r) const {
-  // Spread by table, with the transaction id folded in so table-less
-  // records (begin/commit/abort have table == 0) don't all pile onto one
-  // shard.  Any assignment is correct — the force leader merges by LSN.
-  const uint64_t h = r.table ^ (r.txn * 0x9e3779b97f4a7c15ULL);
-  return static_cast<size_t>(h % kShards);
+  durable_upto_ = next_lsn_ - 1;  // the tail is empty; nothing volatile yet
 }
 
 Lsn WriteAheadLog::TruncationPoint() const {
@@ -315,29 +306,28 @@ size_t WriteAheadLog::BytesInUse() const {
 }
 
 Status WriteAheadLog::Append(LogRecord record, bool exempt, Lsn* assigned) {
-  Shard& sh = shards_[ShardFor(record)];
-  std::lock_guard<sim::Mutex> sh_lk(sh.mu);
   const size_t sz = record.ByteSize();
-  {
-    // Capacity check and LSN assignment are atomic under space_mu_; the
-    // assignment also happens under sh.mu so the force leader (holding
-    // every shard mutex) can never observe an assigned-but-unqueued LSN.
-    std::lock_guard<std::mutex> sp_lk(space_mu_);
-    AdvanceTruncationPoint();
-    if (!exempt && in_use_bytes_ + sz > capacity_) {
-      log_full_errors_.fetch_add(1, std::memory_order_relaxed);
-      return Status::LogFull("log capacity " + std::to_string(capacity_) +
-                             " bytes exceeded; oldest active txn pins lsn " +
-                             std::to_string(TruncationPoint()));
-    }
-    record.lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    record_bytes_[record.lsn] = sz;
-    in_use_bytes_ += sz;
+  // Capacity check, LSN assignment and the push onto the tail form one
+  // critical section, so the tail is LSN-sorted and every assigned LSN is
+  // either durable or in the tail.
+  std::lock_guard<std::mutex> lk(space_mu_);
+  AdvanceTruncationPoint();
+  if (!exempt && in_use_bytes_ + sz > capacity_) {
+    log_full_errors_.fetch_add(1, std::memory_order_relaxed);
+    return Status::LogFull("log capacity " + std::to_string(capacity_) +
+                           " bytes exceeded; oldest active txn pins lsn " +
+                           std::to_string(TruncationPoint()));
   }
+  record.lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+  if (record.type == LogRecordType::kBegin) {
+    active_begin_[record.lsn] = record.txn;
+    txn_begin_[record.txn] = record.lsn;
+  }
+  record_bytes_[record.lsn] = sz;
+  in_use_bytes_ += sz;
   if (assigned != nullptr) *assigned = record.lsn;
   appends_.fetch_add(1, std::memory_order_relaxed);
-  sh.bytes += sz;
-  sh.tail.push_back(std::move(record));
+  tail_.push_back(std::move(record));
   return Status::OK();
 }
 
@@ -371,8 +361,8 @@ Status WriteAheadLog::ForceTo(Lsn lsn) {
       continue;
     }
     // Leader-elect.  "sqldb.wal.force" models the fsync itself failing:
-    // nothing was written, every shard tail stays volatile, and the caller
-    // must not treat its transaction as committed.
+    // nothing was written, the tail stays volatile, and the caller must not
+    // treat its transaction as committed.
     if (fault_ != nullptr) {
       if (auto f = fault_->Hit(failpoints::kSqldbWalForce, clock_)) {
         force_cv_.notify_all();
@@ -383,134 +373,74 @@ Status WriteAheadLog::ForceTo(Lsn lsn) {
     force_leader_active_ = true;
     lk.unlock();
 
-    // Collect: lock EVERY shard (fixed order) before detaching anything.
-    // With all shard mutexes held no append can be mid-LSN-assignment, so
-    // the set of assigned LSNs is prefix-closed: everything not yet durable
-    // is sitting in some shard tail right now.  Locking shards one at a
-    // time instead would let a low-LSN record slip into an already-released
-    // shard while we collect a higher LSN from a later one — a durable-log
-    // gap.
-    for (Shard& sh : shards_) sh.mu.lock();
-    // "sqldb.wal.shard_force" models one shard's collect failing (e.g. a
-    // partial gather-write): probed once per non-empty shard BEFORE any
-    // tail is detached, so a failure leaves the whole volatile log intact
-    // and a later force can retry.
-    Status shard_fault = Status::OK();
-    if (fault_ != nullptr) {
-      for (Shard& sh : shards_) {
-        if (sh.tail.empty()) continue;
-        if (auto f = fault_->Hit(failpoints::kSqldbWalShardForce, clock_)) {
-          shard_fault = *f;
-          break;
-        }
-      }
-    }
-    if (!shard_fault.ok()) {
-      for (size_t i = kShards; i-- > 0;) shards_[i].mu.unlock();
-      lk.lock();
-      force_leader_active_ = false;
-      force_cv_.notify_all();
-      return shard_fault;
-    }
+    // Detach the whole tail.  It is LSN-sorted and prefix-closed (see
+    // Append), so it is the batch as it stands.
     std::vector<LogRecord> batch;
-    for (Shard& sh : shards_) {
-      if (sh.tail.empty()) continue;
-      std::move(sh.tail.begin(), sh.tail.end(), std::back_inserter(batch));
-      sh.tail.clear();
-      sh.bytes = 0;
+    {
+      std::lock_guard<std::mutex> sp_lk(space_mu_);
+      batch.swap(tail_);
     }
-    for (size_t i = kShards; i-- > 0;) shards_[i].mu.unlock();
-
+    Status result = Status::OK();
     if (batch.empty()) {
       // Only possible after a torn-tail error dropped volatile records: the
       // requested LSNs no longer exist anywhere and can never become durable.
-      lk.lock();
-      force_leader_active_ = false;
-      force_cv_.notify_all();
-      return Status::IOError("log records lost by an earlier failed force");
-    }
-    // Merge the shard tails into one LSN-ordered batch.  Each tail is
-    // already sorted, so this is a k-way merge; std::sort on the nearly
-    // sorted concatenation is fine at these batch sizes.
-    std::sort(batch.begin(), batch.end(),
-              [](const LogRecord& a, const LogRecord& b) { return a.lsn < b.lsn; });
-    const Lsn target = batch.back().lsn;
-    size_t commits = 0;
-    for (const LogRecord& r : batch) {
-      if (r.type == LogRecordType::kCommit || r.type == LogRecordType::kAbort) ++commits;
-    }
-    const size_t nrecords = batch.size();
-    // "sqldb.wal.torn_tail" models a crash mid-write of this batch: the log
-    // file ends inside the final record's frame.  Round-trip the batch
-    // through the byte codec, cut halfway into the last frame, and make
-    // durable only the longest valid decoded prefix — the rest of the batch
-    // is lost, exactly as a real torn write loses it.
-    if (fault_ != nullptr) {
+      result = Status::IOError("log records lost by an earlier failed force");
+    } else if (fault_ != nullptr) {
+      // "sqldb.wal.torn_tail" models a crash mid-write of this batch: the
+      // log file ends inside the final record's frame.  Round-trip the
+      // batch through the byte codec, cut halfway into the last frame, and
+      // make durable only the longest valid decoded prefix — the rest of
+      // the batch is lost, exactly as a real torn write loses it.
       if (auto f = fault_->Hit(failpoints::kSqldbWalTornTail, clock_)) {
         const std::string encoded = EncodeLogRecords(batch);
         std::string last_frame;
         batch.back().EncodeTo(&last_frame);
         const size_t cut = encoded.size() - last_frame.size() + last_frame.size() / 2;
-        std::vector<LogRecord> prefix =
-            DecodeLogRecords(std::string_view(encoded).substr(0, cut));
-        Lsn prefix_end = kInvalidLsn;
-        if (!prefix.empty()) {
-          prefix_end = prefix.back().lsn;
-          forces_.fetch_add(1, std::memory_order_relaxed);
-          group_commit_records_.fetch_add(prefix.size(), std::memory_order_relaxed);
-          for (const LogRecord& r : prefix) {
-            if (r.type == LogRecordType::kCommit || r.type == LogRecordType::kAbort) {
-              group_commit_commits_.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          SimulateMediaLatency();
-          durable_->AppendForced(std::move(prefix));
-        }
-        trace::Interval("sqldb.wal.force.leader", lead0, trace::AmbientNowMicros());
-        lk.lock();
-        if (prefix_end != kInvalidLsn) durable_upto_ = prefix_end;
-        force_leader_active_ = false;
-        force_cv_.notify_all();
-        return *f;
+        batch = DecodeLogRecords(std::string_view(encoded).substr(0, cut));
+        result = *f;
       }
     }
-    // Adaptive latency sampling: every force while the histogram is cold
-    // (so low-throughput runs still report a usable p99), then 1-in-8 —
-    // two clock reads per force are measurable against a fast in-memory
-    // log (E13) and a warm distribution doesn't need every data point.
-    // force_seq_ is only touched by the active leader, which is exclusive
-    // by construction.
-    ++force_seq_;
-    const bool sample =
-        force_latency_us_ != nullptr &&
-        (force_latency_us_->count() < 64 || (force_seq_ & 7) == 0);
-    const int64_t t0 = sample ? metrics::NowMicrosForMetrics() : 0;
-    SimulateMediaLatency();
-    durable_->AppendForced(std::move(batch));  // the "I/O", outside all WAL locks
-    if (sample) {
-      force_latency_us_->Record(metrics::NowMicrosForMetrics() - t0);
-      batch_records_->Record(static_cast<int64_t>(nrecords));
+    Lsn target = kInvalidLsn;
+    if (!batch.empty()) {
+      target = batch.back().lsn;
+      size_t commits = 0;
+      for (const LogRecord& r : batch) {
+        if (r.type == LogRecordType::kCommit || r.type == LogRecordType::kAbort) ++commits;
+      }
+      const size_t nrecords = batch.size();
+      // Adaptive latency sampling: every force while the histogram is cold
+      // (so low-throughput runs still report a usable p99), then 1-in-8 —
+      // two clock reads per force are measurable against a fast in-memory
+      // log (E13) and a warm distribution doesn't need every data point.
+      // force_seq_ is only touched by the active leader, which is exclusive
+      // by construction.
+      ++force_seq_;
+      const bool sample =
+          force_latency_us_ != nullptr &&
+          (force_latency_us_->count() < 64 || (force_seq_ & 7) == 0);
+      const int64_t t0 = sample ? metrics::NowMicrosForMetrics() : 0;
+      SimulateMediaLatency();
+      durable_->AppendForced(std::move(batch));  // the "I/O", outside all WAL locks
+      if (sample) {
+        force_latency_us_->Record(metrics::NowMicrosForMetrics() - t0);
+        batch_records_->Record(static_cast<int64_t>(nrecords));
+      }
+      forces_.fetch_add(1, std::memory_order_relaxed);
+      group_commit_records_.fetch_add(nrecords, std::memory_order_relaxed);
+      group_commit_commits_.fetch_add(commits, std::memory_order_relaxed);
     }
-    forces_.fetch_add(1, std::memory_order_relaxed);
-    group_commit_records_.fetch_add(nrecords, std::memory_order_relaxed);
-    group_commit_commits_.fetch_add(commits, std::memory_order_relaxed);
     trace::Interval("sqldb.wal.force.leader", lead0, trace::AmbientNowMicros());
     lk.lock();
-    durable_upto_ = target;
+    if (target != kInvalidLsn) durable_upto_ = target;
     force_leader_active_ = false;
     force_cv_.notify_all();
+    if (!result.ok()) return result;
   }
   return Status::OK();
 }
 
 Status WriteAheadLog::ForceAll() {
   return ForceTo(next_lsn_.load(std::memory_order_relaxed) - 1);
-}
-
-void WriteAheadLog::OnBegin(TxnId txn, Lsn begin_lsn) {
-  std::lock_guard<std::mutex> lk(space_mu_);
-  active_begin_[begin_lsn] = txn;
-  txn_begin_[txn] = begin_lsn;
 }
 
 void WriteAheadLog::OnEnd(TxnId txn) {
@@ -563,7 +493,6 @@ WalStats WriteAheadLog::stats() const {
   s.log_full_errors = log_full_errors_.load(std::memory_order_relaxed);
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.force_waits = force_waits_.load(std::memory_order_relaxed);
-  s.group_commit_batches = s.forces;
   s.group_commit_records = group_commit_records_.load(std::memory_order_relaxed);
   s.group_commit_commits = group_commit_commits_.load(std::memory_order_relaxed);
   s.mean_commits_per_batch =

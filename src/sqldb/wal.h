@@ -14,21 +14,18 @@
 //    failure the paper's batched-commit lesson (§4) is about: one huge
 //    transaction pins the truncation point and fills the log.
 //
-// Sharded tail: appends hash to one of kShards independent tail shards,
-// each with its own mutex, so concurrent writers on disjoint tables (or
-// disjoint transactions) do not serialize on a single log latch.  The LSN
-// space stays global — a single atomic counter, incremented while the
-// appender holds its shard mutex.  That invariant is what makes the merge
-// correct: the group-commit leader locks ALL shard mutexes, so no append
-// can be mid-assignment, and every assigned LSN is either durable already
-// or present in some shard tail.  The leader drains all shards, merges the
-// batch in LSN order, and performs one durable append.
+// One tail: every append takes the leaf mutex `space_mu_` anyway (log-space
+// accounting), so the record is pushed onto the single volatile tail in the
+// same critical section that checks capacity and assigns its LSN.  The
+// tail is therefore LSN-sorted and prefix-closed by construction: every
+// assigned LSN is either durable or in the tail.
 //
 // Group commit: concurrent ForceTo() callers coalesce behind a single
-// leader.  The leader merges the shard tails and moves them into the
-// DurableStore in one append while followers wait on a condition variable
-// until the durable frontier covers their commit LSN.  WalStats reports
-// the coalescing (force_waits, group_commit_batches, commits per batch).
+// leader.  The leader swaps the tail out under `space_mu_` and moves it
+// into the DurableStore in one append, outside every WAL lock, while
+// followers wait on a condition variable until the durable frontier covers
+// their commit LSN.  WalStats reports the coalescing (force_waits, commits
+// per force).
 #pragma once
 
 #include <array>
@@ -192,7 +189,7 @@ class DurableStore {
 
 struct WalStats {
   uint64_t appends = 0;
-  uint64_t forces = 0;          // durable appends (group-commit batches)
+  uint64_t forces = 0;          // durable appends (one per group-commit batch)
   uint64_t log_full_errors = 0;
   uint64_t checkpoints = 0;
   size_t bytes_in_use = 0;   // from truncation point to end
@@ -200,7 +197,6 @@ struct WalStats {
 
   // Group commit.
   uint64_t force_waits = 0;           // callers that waited behind a leader
-  uint64_t group_commit_batches = 0;  // leader flushes (== forces)
   uint64_t group_commit_records = 0;  // log records moved by those flushes
   uint64_t group_commit_commits = 0;  // commit/abort records moved
   /// Mean transactions retired per durable append; > 1 means concurrent
@@ -208,15 +204,15 @@ struct WalStats {
   double mean_commits_per_batch = 0;
 };
 
-/// Volatile WAL front-end.  Thread-safe: Append assigns the global LSN
-/// while holding one shard mutex (callers hold the owning row latch, so
+/// Volatile WAL front-end.  Thread-safe: Append assigns the LSN and queues
+/// the record under one leaf mutex (callers hold the owning row latch, so
 /// per-row append order matches apply order); ForceTo runs the
-/// group-commit protocol over the merged shard tails.
+/// group-commit protocol over the tail.
 class WriteAheadLog {
  public:
   /// `fault`/`clock` are optional: when set, ForceTo probes the
-  /// "sqldb.wal.force", "sqldb.wal.shard_force" and "sqldb.wal.torn_tail"
-  /// fail points (see wal.cc).  `registry` (optional) receives the
+  /// "sqldb.wal.force" and "sqldb.wal.torn_tail" fail points (see
+  /// wal.cc).  `registry` (optional) receives the
   /// sqldb.wal.force_latency_us and sqldb.wal.batch_records histograms.
   WriteAheadLog(std::shared_ptr<DurableStore> durable, size_t capacity_bytes,
                 FaultInjector* fault = nullptr, Clock* clock = nullptr,
@@ -226,7 +222,9 @@ class WriteAheadLog {
   /// non-null).  Fails with kLogFull if retained log bytes (truncation
   /// point .. end) would exceed capacity.  `exempt` bypasses the capacity
   /// check — rollback compensations and commit/abort records must never
-  /// fail for space (DB2 reserves log space for undo).
+  /// fail for space (DB2 reserves log space for undo).  A kBegin record
+  /// registers its transaction as active: its LSN pins the truncation
+  /// point until OnEnd.
   Status Append(LogRecord record, bool exempt = false, Lsn* assigned = nullptr);
 
   /// Bytes pinned by the oldest active transaction (cannot be reclaimed by
@@ -234,18 +232,17 @@ class WriteAheadLog {
   size_t BytesPinnedByActiveTxns() const;
 
   /// Make everything up to and including `lsn` durable.  Concurrent callers
-  /// coalesce: one leader merges every shard tail into one LSN-ordered
-  /// batch and moves it into the DurableStore in a single append; followers
-  /// wait until the durable frontier covers their LSN (group commit).
-  /// Fails when the fail points "sqldb.wal.force", "sqldb.wal.shard_force"
-  /// or "sqldb.wal.torn_tail" fire (or the process already crashed): the
-  /// caller's records are NOT durable and the caller must not report its
-  /// transaction committed.
+  /// coalesce: one leader detaches the tail and moves it into the
+  /// DurableStore in a single append; followers wait until the durable
+  /// frontier covers their LSN (group commit).  Fails when the fail points
+  /// "sqldb.wal.force" or "sqldb.wal.torn_tail" fire (or the process
+  /// already crashed): the caller's records are NOT durable and the caller
+  /// must not report its transaction committed.
   Status ForceTo(Lsn lsn);
   Status ForceAll();
 
-  /// Transaction lifecycle hooks for space accounting.
-  void OnBegin(TxnId txn, Lsn begin_lsn);
+  /// Transaction end hook for space accounting (the begin is registered by
+  /// the kBegin append).
   void OnEnd(TxnId txn);
 
   /// Record that a checkpoint at `lsn` completed; truncates retired space.
@@ -261,24 +258,11 @@ class WriteAheadLog {
   DurableStore* durable() { return durable_.get(); }
 
  private:
-  /// Append shards.  More shards than cores is fine — the point is that
-  /// two writers rarely hash to the same tail mutex.  sim::Mutex: the
-  /// force leader holds every shard mutex while probing fail points (a
-  /// kDelay action yields), so contending appenders must park in the
-  /// simulation scheduler, not the kernel.
-  static constexpr size_t kShards = 8;
-  struct Shard {
-    sim::Mutex mu;
-    std::vector<LogRecord> tail;  // not yet forced; LSN-sorted within shard
-    size_t bytes = 0;
-  };
-
   /// Models the log device's write latency ahead of a durable append —
   /// on the injected clock when one is present, so simulated runs
   /// compress it to virtual time.
   void SimulateMediaLatency();
 
-  size_t ShardFor(const LogRecord& r) const;
   Lsn TruncationPoint() const;        // space_mu_ held
   void AdvanceTruncationPoint();      // space_mu_ held; retires space O(1) amortized
 
@@ -290,15 +274,15 @@ class WriteAheadLog {
   metrics::Histogram* batch_records_ = nullptr;
   uint64_t force_seq_ = 0;  // leader-only; adaptive latency sampling
 
-  /// Global LSN counter.  fetch_add happens while holding a shard mutex —
-  /// see the header comment for why the force leader relies on that.
+  /// Next LSN to assign.  Written only under space_mu_ (see Append); read
+  /// without it by last_lsn() and ForceTo.
   std::atomic<Lsn> next_lsn_{1};
 
-  mutable std::array<Shard, kShards> shards_;
-
-  // Log-space accounting (truncation point, per-record sizes, active txns).
-  // Leaf lock: taken inside a shard mutex by Append, never the reverse.
+  // The volatile tail and log-space accounting (truncation point,
+  // per-record sizes, active txns).  Nothing yields while holding it (only
+  // DurableStore::mu_ nests inside), so it stays a std::mutex.
   mutable std::mutex space_mu_;
+  std::vector<LogRecord> tail_;  // not yet forced; LSN-sorted, prefix-closed
   Lsn redo_floor_ = kInvalidLsn;  // from the last OnCheckpoint
   std::map<Lsn, TxnId> active_begin_;     // begin-LSN -> txn (ordered)
   std::map<TxnId, Lsn> txn_begin_;
@@ -309,7 +293,7 @@ class WriteAheadLog {
   size_t in_use_bytes_ = 0;
 
   // Group commit.  force_mu_ guards only the leader flag and the durable
-  // frontier; the leader never holds it while collecting shard tails or
+  // frontier; the leader never holds it while detaching the tail or
   // appending to the durable store.  sim:: types: the follower wait and
   // the fail-point probe under force_mu_ are simulation yield points.
   mutable sim::Mutex force_mu_;

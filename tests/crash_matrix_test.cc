@@ -328,11 +328,6 @@ TEST_F(CrashMatrixTest, RegistryEnumeratedCrashMatrix) {
       {"dlfm.commit.before_harden", {{MatrixCase::kDlfm1, true}}},
       {"dlfm.commit.after_harden", {{MatrixCase::kDlfm1, true}}},
       {"sqldb.wal.force", {{MatrixCase::kHost, false}, {MatrixCase::kDlfm1, false}}},
-      // Fires per-shard after the force leader collected the shard tails but
-      // before the durable append: nothing was written, same outcome as a
-      // force crash.
-      {"sqldb.wal.shard_force",
-       {{MatrixCase::kHost, false}, {MatrixCase::kDlfm1, false}}},
       {"sqldb.wal.torn_tail", {{MatrixCase::kHost, false}, {MatrixCase::kDlfm1, false}}},
       // Group-harden leader crashes before forcing the batch: the prepare
       // never hardens, the host sees the ack fail -> presumed abort.

@@ -301,6 +301,52 @@ TEST(Concurrency, LogFullAbortsLongTransactionButBatchedSucceeds) {
   EXPECT_TRUE(batched.ok()) << batched.ToString();
 }
 
+TEST(Concurrency, NonKeyUpdateKeepsRowVisibleToKeySelects) {
+  // An update that leaves every index key unchanged must leave the index
+  // entries alone: a concurrent point select by the unchanged unique key
+  // has to find the committed row every time.
+  DatabaseOptions opts;
+  opts.lock_timeout_micros = 5 * 1000 * 1000;
+  opts.next_key_locking = false;
+  auto db = OpenDb(opts);
+  TableId t = MakeFileTable(db.get());  // unique ix_name(name), ix_txn(txn)
+  Transaction* load = db->Begin();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db->Insert(load, t, FileRow("f" + std::to_string(i), i)).ok());
+  }
+  ASSERT_TRUE(db->Commit(load).ok());
+  ASSERT_TRUE(db->RunStats(t).ok());
+
+  constexpr int kUpdates = 2000;
+  constexpr int kReaders = 3;
+  std::atomic<bool> done{false};
+  std::atomic<int> selects{0};
+  std::atomic<int> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        Transaction* txn = db->Begin();
+        auto rows = db->Select(txn, t, {Pred::Eq("name", "f7")});
+        EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+        if (!rows.ok() || rows->size() != 1) misses.fetch_add(1);
+        selects.fetch_add(1);
+        EXPECT_TRUE(db->Commit(txn).ok());
+      }
+    });
+  }
+  for (int i = 0; i < kUpdates; ++i) {
+    Transaction* txn = db->Begin();
+    auto n = db->Update(txn, t, {Pred::Eq("name", "f7")}, {{"grp", Operand(i)}});
+    EXPECT_TRUE(n.ok() && *n == 1) << n.status().ToString();
+    EXPECT_TRUE(db->Commit(txn).ok());
+  }
+  done.store(true);
+  for (auto& th : readers) th.join();
+  EXPECT_GT(selects.load(), 0);
+  EXPECT_EQ(misses.load(), 0) << "of " << selects.load() << " selects";
+}
+
 TEST(Concurrency, MixedWorkloadIntegrity) {
   // Randomized multi-threaded smoke: no crashes, and committed data is
   // consistent (unique names stay unique).

@@ -236,7 +236,7 @@ TEST(LatchStress, ConcurrentCommittersCoalesceIntoGroupCommits) {
   const WalStats w = db->wal().stats();
   EXPECT_GT(w.force_waits, 0u) << "no committer ever waited behind a leader";
   EXPECT_GT(w.mean_commits_per_batch, 1.0)
-      << "batches=" << w.group_commit_batches << " commits=" << w.group_commit_commits;
+      << "forces=" << w.forces << " commits=" << w.group_commit_commits;
   // Every commit became durable exactly once.
   EXPECT_EQ(w.group_commit_commits, static_cast<uint64_t>(kThreads * kCommitsPerThread));
   EXPECT_EQ(*db->LiveRowCount(t), static_cast<size_t>(kThreads * kCommitsPerThread));

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "sqldb/value.h"
 #include "sqldb/wal.h"
 
@@ -73,11 +76,45 @@ TEST(Wal, UnforcedTailIsLostOnCrash) {
   EXPECT_EQ(wal2.last_lsn(), 2u);
 }
 
+TEST(Wal, ConcurrentAppendsAndForcesLeaveGapFreeDurableLog) {
+  // Appends from several threads interleave with group-commit forces.  An
+  // OK force covers the caller's commit, and the durable log ends up with
+  // every LSN exactly once, in order: no gap, no duplicate, no reordering.
+  auto durable = std::make_shared<DurableStore>();
+  WriteAheadLog wal(durable, 1 << 26);
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 300;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        const TxnId txn = 1 + w * kTxnsPerThread + i;
+        EXPECT_TRUE(wal.Append(Rec(txn, LogRecordType::kBegin)).ok());
+        EXPECT_TRUE(wal.Append(Rec(txn, LogRecordType::kInsert, {Value(int64_t{i})})).ok());
+        Lsn commit = kInvalidLsn;
+        EXPECT_TRUE(wal.Append(Rec(txn, LogRecordType::kCommit), /*exempt=*/true, &commit).ok());
+        wal.OnEnd(txn);
+        const Status st = wal.ForceTo(commit);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        if (st.ok()) {
+          EXPECT_GE(durable->max_forced_lsn(), commit);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const Lsn n = static_cast<Lsn>(kThreads) * kTxnsPerThread * 3;
+  EXPECT_EQ(wal.last_lsn(), n);
+  const std::vector<LogRecord> forced = durable->ForcedSince(0);
+  ASSERT_EQ(forced.size(), n);
+  for (Lsn i = 0; i < n; ++i) ASSERT_EQ(forced[i].lsn, i + 1) << "at index " << i;
+}
+
 TEST(Wal, LogFullWhenActiveTxnPinsLog) {
   auto durable = std::make_shared<DurableStore>();
   WriteAheadLog wal(durable, 2048);
   ASSERT_TRUE(wal.Append(Rec(1, LogRecordType::kBegin)).ok());
-  wal.OnBegin(1, wal.last_lsn());
   Status st;
   int appended = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -94,7 +131,6 @@ TEST(Wal, ExemptAppendBypassesCapacity) {
   auto durable = std::make_shared<DurableStore>();
   WriteAheadLog wal(durable, 128);
   ASSERT_TRUE(wal.Append(Rec(1, LogRecordType::kBegin)).ok());
-  wal.OnBegin(1, wal.last_lsn());
   // Fill.
   while (wal.Append(Rec(1, LogRecordType::kInsert, {Value(std::string(30, 'x'))})).ok()) {
   }
@@ -107,7 +143,6 @@ TEST(Wal, CommitReleasesLogPinAfterCheckpoint) {
   WriteAheadLog wal(durable, 4096);
   // Txn 1 writes and ends; checkpoint then reclaims space.
   ASSERT_TRUE(wal.Append(Rec(1, LogRecordType::kBegin)).ok());
-  wal.OnBegin(1, wal.last_lsn());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(wal.Append(Rec(1, LogRecordType::kInsert, {Value(std::string(40, 'x'))})).ok());
   }
@@ -129,7 +164,6 @@ TEST(Wal, BatchedCommitsAvoidLogFull) {
     TxnId txn = 1;
     Status first_begin = wal.Append(Rec(txn, LogRecordType::kBegin));
     if (!first_begin.ok()) return first_begin;
-    wal.OnBegin(txn, wal.last_lsn());
     int in_batch = 0;
     for (int i = 0; i < 200; ++i) {
       Status st = wal.Append(Rec(txn, LogRecordType::kInsert, {Value(std::string(40, 'x'))}));
@@ -143,7 +177,6 @@ TEST(Wal, BatchedCommitsAvoidLogFull) {
         ++txn;
         st = wal.Append(Rec(txn, LogRecordType::kBegin));
         if (!st.ok()) return st;
-        wal.OnBegin(txn, wal.last_lsn());
         in_batch = 0;
       }
     }
